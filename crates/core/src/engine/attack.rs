@@ -3,11 +3,12 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use passflow_nn::rng as nnrng;
-use passflow_nn::Tensor;
+use passflow_nn::{Tensor, ThreadPool};
 use rand::RngCore;
 
 use passflow_store::{GuessArchiveWriter, GuessConfig};
@@ -190,12 +191,19 @@ impl<'a> Attack<'a> {
         self
     }
 
-    /// Sets how many worker threads generate guesses in parallel.
+    /// Sets how many cores the attack may use.
+    ///
+    /// Waves of at least `shards` chunks run whole chunks in parallel. A
+    /// latent wave with fewer chunks than shards — every wave of a dynamic
+    /// attack at the default `sync_every(1)` — runs its chunks one after
+    /// another and splits each chunk's flow inverse into row blocks over
+    /// the shards instead (blocks of at least 64 rows, so small chunks stay
+    /// on one thread).
     ///
     /// Sharding is a *throughput* knob: every chunk of work draws from its
-    /// own deterministic RNG stream keyed by the chunk index, so
-    /// `shards(1)` and `shards(8)` produce byte-identical reports for the
-    /// same seed.
+    /// own deterministic RNG stream keyed by the chunk index, and the
+    /// inverse is row-independent, so `shards(1)` and `shards(8)` produce
+    /// byte-identical reports for the same seed.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         // Repo-wide thread discipline: clamp to the host (results are
@@ -208,12 +216,15 @@ impl<'a> Attack<'a> {
     /// synchronizations (default 1, the per-batch cadence of Algorithm 1).
     ///
     /// Dynamic Sampling conditions the prior on the matches found so far,
-    /// which serializes generation; raising `sync_every` lets up to that
-    /// many chunks run in parallel against a snapshot of the matched set,
-    /// trading feedback freshness for throughput. The value changes the
-    /// trajectory (like changing the batch size does) but, for a fixed
-    /// value, results remain shard-count-invariant. Static strategies
-    /// ignore this and parallelize freely.
+    /// so each chunk's prior draw, decode and smoothing wait for the
+    /// previous chunk's matches; the shards still share the work by
+    /// splitting each chunk's inverse by rows (see [`Attack::shards`]).
+    /// Raising `sync_every` lets up to that many whole chunks run in
+    /// parallel against a snapshot of the matched set, which also spreads
+    /// those serial stages over the shards at the cost of staler feedback.
+    /// The value changes the trajectory (like changing the batch size
+    /// does) but, for a fixed value, results remain shard-count-invariant.
+    /// Static strategies ignore this and parallelize freely.
     #[must_use]
     pub fn sync_every(mut self, chunks: usize) -> Self {
         self.sync_every = chunks.max(1);
@@ -383,6 +394,87 @@ impl WorkerCtx<'_> {
     }
 }
 
+/// A worker's latent session, started on first use.
+fn latent_session<'s, 'g>(
+    slot: &'s mut Option<Box<dyn LatentSession + 'g>>,
+    lg: &'g dyn LatentGuesser,
+) -> &'s mut (dyn LatentSession + 'g) {
+    slot.get_or_insert_with(|| {
+        lg.start_latent_session()
+            .unwrap_or_else(|| Box::new(StatelessLatentSession(lg)))
+    })
+    .as_mut()
+}
+
+/// Fewest rows a split inverse hands one block: below this the hand-off
+/// costs more than the rows, so small chunks invert inline.
+const MIN_SPLIT_ROWS: usize = 64;
+
+/// How many blocks a `rows`-row inverse splits into over `shards`: one per
+/// shard, each at least [`MIN_SPLIT_ROWS`] rows.
+fn split_blocks(rows: usize, shards: usize) -> usize {
+    (rows / MIN_SPLIT_ROWS).clamp(1, shards.max(1))
+}
+
+/// The attack's row-split inverse: a persistent pool of `shards` threads
+/// and one context per block (its own latent session and z/x buffers),
+/// created the first time a wave leaves shards idle and kept for the rest
+/// of the attack.
+struct RowSplit<'g> {
+    pool: ThreadPool,
+    slots: Vec<Mutex<WorkerCtx<'g>>>,
+}
+
+impl<'g> RowSplit<'g> {
+    fn new(shards: usize) -> Self {
+        RowSplit {
+            pool: ThreadPool::new(shards),
+            slots: (0..shards).map(|_| Mutex::new(WorkerCtx::new())).collect(),
+        }
+    }
+
+    /// How many blocks a `rows`-row inverse splits into here.
+    fn blocks_for(&self, rows: usize) -> usize {
+        split_blocks(rows, self.slots.len())
+    }
+
+    /// Inverts `z` into `x` as `blocks` contiguous row blocks (at most one
+    /// per slot), each through its slot's session on the pool, then gathers
+    /// the blocks into `x` in row order. The inverse is row-independent, so
+    /// the result is bit-identical to one `latents_to_features_into` over
+    /// all of `z`, whatever the block count.
+    fn inverse_into(&self, lg: &'g dyn LatentGuesser, z: &Tensor, x: &mut Tensor, blocks: usize) {
+        let rows = z.rows();
+        let blocks = blocks.clamp(1, self.slots.len());
+        let bounds = |b: usize| (b * rows / blocks, (b + 1) * rows / blocks);
+        self.pool.run(blocks, &|b| {
+            let (start, end) = bounds(b);
+            let mut slot = self.slots[b].lock().expect("split slot poisoned");
+            let ctx = &mut *slot;
+            ctx.z.resize(end - start, z.cols());
+            ctx.z
+                .as_mut_slice()
+                .copy_from_slice(&z.as_slice()[start * z.cols()..end * z.cols()]);
+            latent_session(&mut ctx.latent, lg).latents_to_features_into(&ctx.z, &mut ctx.x);
+        });
+        let cols = self.slots[0].lock().expect("split slot poisoned").x.cols();
+        x.resize(rows, cols);
+        for (b, slot) in self.slots[..blocks].iter().enumerate() {
+            let (start, end) = bounds(b);
+            let slot = slot.lock().expect("split slot poisoned");
+            x.as_mut_slice()[start * cols..end * cols].copy_from_slice(slot.x.as_slice());
+        }
+    }
+}
+
+/// How a latent chunk maps its prior draw to data space.
+enum Inversion<'s, 'g> {
+    /// Inline, through the worker's own session.
+    Session(&'s mut (dyn LatentSession + 'g)),
+    /// Split by rows over the attack's pool.
+    Split(&'s RowSplit<'g>),
+}
+
 /// The resolved execution plan behind [`Attack::run`]: normalized
 /// checkpoints and the budget's partition into deterministic work chunks.
 ///
@@ -523,6 +615,7 @@ impl AttackEngine {
         // started lazily inside whichever thread ends up owning the context.
         let mut worker_ctxs: Vec<WorkerCtx<'_>> =
             (0..self.shards.max(1)).map(|_| WorkerCtx::new()).collect();
+        let mut row_split: Option<RowSplit<'_>> = None;
 
         let mut dynamic_params = dynamic;
         while chunks_done < total {
@@ -542,17 +635,31 @@ impl AttackEngine {
                 (None, _) => None,
             };
 
+            // A latent wave with fewer chunks than its chunks have row
+            // blocks (with per-batch feedback, every wave: one chunk) runs
+            // its chunks one after another and splits each chunk's inverse
+            // by rows over the shards instead of leaving shards idle.
+            let widest = epoch.iter().map(|c| split_blocks(c.len, self.shards)).max();
+            let split = match latent {
+                Some(_) if widest.unwrap_or(1) > epoch.len() => {
+                    Some(&*row_split.get_or_insert_with(|| RowSplit::new(self.shards)))
+                }
+                _ => None,
+            };
+
             let produce = pin_produce(|chunk: &Chunk, ctx| -> ChunkOutput {
                 let mut rng = nnrng::derived(attack.seed, chunk.index);
                 match (latent, prior.as_ref()) {
                     (Some(lg), Some(prior)) => {
-                        let session = ctx.latent.get_or_insert_with(|| {
-                            lg.start_latent_session()
-                                .unwrap_or_else(|| Box::new(StatelessLatentSession(lg)))
-                        });
+                        let inversion = match split {
+                            Some(split) if split.blocks_for(chunk.len) > 1 => {
+                                Inversion::Split(split)
+                            }
+                            _ => Inversion::Session(latent_session(&mut ctx.latent, lg)),
+                        };
                         generate_latent_chunk(
                             lg,
-                            session.as_mut(),
+                            inversion,
                             &mut ctx.z,
                             &mut ctx.x,
                             chunk,
@@ -578,7 +685,11 @@ impl AttackEngine {
                 }
             });
 
-            let workers = self.shards.min(epoch.len()).max(1);
+            let workers = if split.is_some() {
+                1
+            } else {
+                self.shards.min(epoch.len()).max(1)
+            };
             let outputs: Vec<ChunkOutput> = if workers == 1 {
                 let ctx = &mut worker_ctxs[0];
                 epoch.iter().map(|chunk| produce(chunk, ctx)).collect()
@@ -880,13 +991,13 @@ fn run_parallel<'g>(
 }
 
 /// Generates one chunk through the latent path: sample the epoch prior into
-/// the worker's latent buffer, invert through the session's cached snapshot
-/// into the feature buffer, decode, and (optionally) smooth collisions away
-/// in data space.
+/// the worker's latent buffer, invert it into the feature buffer (through
+/// the worker's session or split by rows over the pool), decode, and
+/// (optionally) smooth collisions away in data space.
 #[allow(clippy::too_many_arguments)]
-fn generate_latent_chunk(
-    lg: &dyn LatentGuesser,
-    session: &mut dyn LatentSession,
+fn generate_latent_chunk<'g>(
+    lg: &'g dyn LatentGuesser,
+    inversion: Inversion<'_, 'g>,
     z: &mut Tensor,
     x: &mut Tensor,
     chunk: &Chunk,
@@ -898,7 +1009,10 @@ fn generate_latent_chunk(
     rng: &mut dyn RngCore,
 ) -> ChunkOutput {
     prior.sample_into(chunk.len, rng, z);
-    session.latents_to_features_into(z, x);
+    match inversion {
+        Inversion::Session(session) => session.latents_to_features_into(z, x),
+        Inversion::Split(split) => split.inverse_into(lg, z, x, split.blocks_for(chunk.len)),
+    }
 
     // The chunk-local dedup view is only consulted by smoothing; skip the
     // per-guess clone + hash entirely for strategies without it.
@@ -1169,6 +1283,38 @@ mod tests {
         for shards in [2, 8] {
             assert_eq!(run(shards), sequential, "shards={shards} diverged");
         }
+    }
+
+    #[test]
+    fn split_inverse_is_bit_identical_to_the_unsplit_inverse() {
+        let (flow, _) = flow_fixture();
+        let mut rng = nnrng::seeded(9);
+        // Ragged on purpose: 1 023 rows split unevenly into 2 and 7 blocks.
+        let z = flow.sample_latent(1_023, &mut rng);
+        let mut expected = Tensor::default();
+        flow.snapshot().inverse_into(
+            &z,
+            &mut crate::fastpath::FlowWorkspace::new(),
+            &mut expected,
+        );
+
+        let split = RowSplit::new(7);
+        for blocks in [1, 2, 3, 7] {
+            let mut x = Tensor::default();
+            split.inverse_into(&flow, &z, &mut x, blocks);
+            assert_eq!(x.shape(), expected.shape(), "blocks={blocks}");
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&expected), "blocks={blocks} is not 0 ULP");
+        }
+    }
+
+    #[test]
+    fn split_blocks_keep_a_minimum_row_count() {
+        assert_eq!(split_blocks(0, 4), 1);
+        assert_eq!(split_blocks(2 * MIN_SPLIT_ROWS - 1, 4), 1);
+        assert_eq!(split_blocks(2 * MIN_SPLIT_ROWS, 4), 2);
+        assert_eq!(split_blocks(1_024, 4), 4);
+        assert_eq!(split_blocks(1_024, 1), 1, "one shard never splits");
     }
 
     #[test]

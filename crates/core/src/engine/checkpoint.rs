@@ -36,7 +36,6 @@
 //! then a counts-bearing `PFGUESS` stream plus its running checksum).
 
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 use passflow_store::{GuessStreamReader, GuessStreamWriter};
@@ -270,8 +269,9 @@ fn decode_strategy(dec: &mut Dec<'_>) -> Result<GuessingStrategy> {
 // Save / load
 // ---------------------------------------------------------------------------
 
-/// Writes `state` to `path` atomically (a `.tmp` sibling is renamed into
-/// place, so readers never observe a half-written checkpoint).
+/// Writes `state` to `path` durably (a fsynced `.tmp` sibling is renamed
+/// into place and the directory fsynced, so readers never observe a
+/// half-written checkpoint, also after a crash).
 pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
     let mut enc = Enc { buf: Vec::new() };
 
@@ -360,22 +360,8 @@ pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
     file_bytes.extend_from_slice(&payload);
     file_bytes.extend_from_slice(&fnv1a(FNV_SEED, &payload).to_le_bytes());
 
-    let mut tmp_os = path.to_path_buf().into_os_string();
-    tmp_os.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_os);
-    let write = |p: &Path| -> std::io::Result<()> {
-        let mut f = fs::File::create(p)?;
-        f.write_all(&file_bytes)?;
-        f.sync_all()
-    };
-    write(&tmp).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        persist_err(format!("writing checkpoint {tmp:?}: {e}"))
-    })?;
-    fs::rename(&tmp, path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        persist_err(format!("renaming checkpoint into {path:?}: {e}"))
-    })
+    passflow_store::replace_file(path, &file_bytes)
+        .map_err(|e| persist_err(format!("writing checkpoint {path:?}: {e}")))
 }
 
 /// Reads and fully validates a `PFATTACK v1` file (magic, version, payload

@@ -241,10 +241,10 @@ pub fn save_checkpoint_to_writer<W: Write>(
 /// Saves a `PASSFLOW v2` checkpoint to a file. See
 /// [`save_checkpoint_to_writer`].
 ///
-/// The write is atomic: the checkpoint is assembled in a `.tmp` sibling
-/// and renamed over `path`, so a crash mid-write never destroys the
-/// previous good checkpoint — the failure mode checkpointing exists to
-/// survive.
+/// The write is durable: the checkpoint is assembled in a `.tmp` sibling,
+/// fsynced, renamed over `path`, and the directory fsynced, so a crash at
+/// any point leaves either the previous good checkpoint or the complete new
+/// one — the failure mode checkpointing exists to survive.
 ///
 /// # Errors
 ///
@@ -254,17 +254,9 @@ pub fn save_checkpoint(
     state: Option<&TrainState>,
     path: impl AsRef<Path>,
 ) -> Result<()> {
-    let path = path.as_ref();
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    let file = fs::File::create(&tmp)
-        .map_err(|e| FlowError::IncompatibleWeights(format!("cannot create file: {e}")))?;
-    let mut writer = std::io::BufWriter::new(file);
-    save_checkpoint_to_writer(flow, state, &mut writer)?;
-    writer.flush().map_err(io_err)?;
-    drop(writer);
-    fs::rename(&tmp, path)
+    let mut bytes = Vec::new();
+    save_checkpoint_to_writer(flow, state, &mut bytes)?;
+    passflow_store::replace_file(path.as_ref(), &bytes)
         .map_err(|e| FlowError::IncompatibleWeights(format!("cannot replace checkpoint: {e}")))
 }
 

@@ -398,13 +398,17 @@ impl SampleTable {
 
     /// Saves the table to a file (see [`save_to_writer`](Self::save_to_writer)).
     ///
+    /// The write is durable: a fsynced `.tmp` sibling is renamed over `path`
+    /// and the directory fsynced, so a failed or interrupted save leaves the
+    /// previous table as it was.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError::IncompatibleWeights`] on I/O failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
         let mut buf = Vec::new();
         self.save_to_writer(&mut buf)?;
-        fs::write(path, buf)
+        passflow_store::replace_file(path.as_ref(), &buf)
             .map_err(|e| FlowError::IncompatibleWeights(format!("write failed: {e}")))
     }
 
@@ -579,6 +583,28 @@ mod tests {
         assert_eq!(loaded, table);
         assert_eq!(loaded.model_name(), "toy");
         assert_eq!(loaded.seed(), 11);
+    }
+
+    #[test]
+    fn failed_save_leaves_the_previous_table_byte_identical() {
+        let dir = std::env::temp_dir().join(format!("pfstrength-save-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("table.pfs");
+        SampleTable::build(&Toy, 256, 1).save(&path).unwrap();
+        let before = fs::read(&path).unwrap();
+
+        // A directory squatting on the `.tmp` sibling makes the next save
+        // fail before anything reaches `path`.
+        fs::create_dir(dir.join("table.pfs.tmp")).unwrap();
+        assert!(SampleTable::build(&Toy, 512, 2).save(&path).is_err());
+        assert_eq!(fs::read(&path).unwrap(), before);
+        assert_eq!(SampleTable::load(&path).unwrap().seed(), 1);
+
+        // With the obstacle gone the save replaces the table.
+        fs::remove_dir(dir.join("table.pfs.tmp")).unwrap();
+        SampleTable::build(&Toy, 512, 2).save(&path).unwrap();
+        assert_eq!(SampleTable::load(&path).unwrap().seed(), 2);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

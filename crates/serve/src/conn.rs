@@ -217,7 +217,17 @@ impl Mux {
         for stream in self.reading.lock().values() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        self.idle_wake.notify_all();
+        // Notify under each condvar's own lock. A waiter checks
+        // `stopping()` and then waits while holding that lock, so once we
+        // hold it the waiter has either not checked yet (and will see the
+        // flag) or is already waiting (and gets this wake-up). Notifying
+        // without the lock can land between its check and its wait, and
+        // a worker in `next_ready` would then sleep through shutdown.
+        {
+            let _idle = self.idle.lock();
+            self.idle_wake.notify_all();
+        }
+        let _ready = self.ready.lock();
         self.ready_wake.notify_all();
     }
 

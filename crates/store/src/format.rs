@@ -346,9 +346,7 @@ impl ArtifactWriter {
     pub fn create(path: impl AsRef<Path>, config: DigestConfig) -> Result<ArtifactWriter> {
         config.validate()?;
         let final_path = path.as_ref().to_path_buf();
-        let mut tmp_os = final_path.clone().into_os_string();
-        tmp_os.push(".tmp");
-        let tmp_path = PathBuf::from(tmp_os);
+        let tmp_path = crate::durable::tmp_sibling(&final_path);
         let mut file = BufWriter::new(File::create(&tmp_path)?);
         // Placeholder header; patched in finish() once totals are known.
         file.write_all(&[0u8; HEADER_LEN as usize])?;
@@ -471,6 +469,7 @@ impl ArtifactWriter {
         file.sync_all()?;
         std::fs::rename(&self.tmp_path, &self.final_path)?;
         self.finished = true;
+        crate::durable::sync_parent_dir(&self.final_path)?;
         Ok(DigestStats {
             record_count: header.record_count,
             block_count: header.block_count,

@@ -49,6 +49,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
+mod durable;
 pub mod format;
 pub mod guess;
 pub mod io;
@@ -56,6 +57,7 @@ pub mod merge;
 pub mod sha1;
 
 pub use builder::{DigestStoreBuilder, DEFAULT_MEMORY_RECORDS};
+pub use durable::replace_file;
 pub use format::{
     DigestConfig, DigestStats, DigestStore, RangeEntry, RawDigest, RecordCursor, Result,
     StoreError, VerifyReport,

@@ -13,7 +13,7 @@
 use std::io::Write as _;
 use std::net::Shutdown;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use passflow::serve::client::{self, ClientResponse, Connection};
@@ -22,6 +22,19 @@ use passflow::serve::{
 };
 use passflow::store::{DigestStore, FaultInjector, FaultPlan, FaultyIo, FileIo};
 use passflow::{DigestConfig, DigestStoreBuilder, FlowConfig, PassFlow, ProbabilityModel};
+
+/// Every test runs a live server in this one process. The idle-flood test
+/// counts the process's threads, so it takes the lock exclusively while the
+/// others share it: no sibling server starts or stops threads mid-count.
+static SERVERS: RwLock<()> = RwLock::new(());
+
+fn shared_process() -> RwLockReadGuard<'static, ()> {
+    SERVERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive_process() -> RwLockWriteGuard<'static, ()> {
+    SERVERS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_flow(seed: u64) -> PassFlow {
     let mut rng = passflow::nn::rng::seeded(seed);
@@ -117,6 +130,7 @@ fn screen_one(addr: std::net::SocketAddr, pw: &str) -> ClientResponse {
 
 #[test]
 fn screen_verdicts_stay_exact_under_transient_store_faults() {
+    let _process = shared_process();
     // ~35% of reads misbehave: short reads, EINTR and bounded transients,
     // each also stalling briefly. The retry discipline must absorb all of
     // it — every verdict stays exactly what a clean store serves.
@@ -181,6 +195,7 @@ fn screen_verdicts_stay_exact_under_transient_store_faults() {
 
 #[test]
 fn outage_opens_the_breaker_degrades_screen_and_recovers() {
+    let _process = shared_process();
     let breached: Vec<String> = (0..500).map(|i| format!("breached-{i}")).collect();
     let (digest, injector, path) = faulty_digest("outage", &breached, FaultPlan::quiet(1));
     let cooldown = Duration::from_millis(400);
@@ -279,6 +294,7 @@ fn outage_opens_the_breaker_degrades_screen_and_recovers() {
 
 #[test]
 fn expired_deadlines_answer_504_not_stale_work() {
+    let _process = shared_process();
     // A long straggler window so a short-deadline job can expire *inside*
     // a tick, not just before submission.
     let (server, _flow) = start_server(
@@ -361,6 +377,7 @@ fn expired_deadlines_answer_504_not_stale_work() {
 
 #[test]
 fn slow_loris_and_torn_bodies_cannot_pin_a_handler() {
+    let _process = shared_process();
     let (server, flow) = start_server(
         ServerConfig {
             request_read_budget: Duration::from_millis(200),
@@ -448,6 +465,7 @@ fn slow_loris_and_torn_bodies_cannot_pin_a_handler() {
 /// must be reaped — no thread leak, no stuck `/healthz` connection count.
 #[test]
 fn parked_connections_that_vanish_are_reaped() {
+    let _process = shared_process();
     let (server, _flow) = start_server(
         ServerConfig {
             idle_timeout: Duration::from_secs(60),
@@ -506,6 +524,7 @@ fn parked_connections_that_vanish_are_reaped() {
 
 #[test]
 fn saturated_batcher_sheds_503_and_serves_on() {
+    let _process = shared_process();
     // A one-slot queue behind a 40ms straggler window: concurrent clients
     // *will* find it full. Shedding must be a clean 503 per request — not
     // a hang, not a tear — and service must be exact afterwards.
@@ -591,6 +610,7 @@ fn saturated_batcher_sheds_503_and_serves_on() {
 
 #[test]
 fn killed_lane_under_live_load_degrades_and_survivors_serve_exactly() {
+    let _process = shared_process();
     let (server, flow) = start_server(
         ServerConfig {
             batcher: BatcherConfig {
@@ -723,6 +743,7 @@ fn process_threads() -> u64 {
 
 #[test]
 fn hundreds_of_idle_keepalive_connections_cost_no_threads() {
+    let _process = exclusive_process();
     let (server, flow) = start_server(chaos_config(), 67);
     let addr = server.addr();
 

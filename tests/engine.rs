@@ -117,6 +117,39 @@ fn shard_count_is_irrelevant_for_every_guesser() {
 }
 
 #[test]
+fn dynamic_gs_at_the_default_batch_is_shard_invariant() {
+    // Targets drawn from the flow's own samples, so the mixture prior
+    // activates. At the default batch of 1 024 rows and per-batch feedback,
+    // a multi-shard run splits every chunk's inverse by rows.
+    let mut rng = nnrng::seeded(406);
+    let flow = PassFlow::new(FlowConfig::tiny(), &mut rng).expect("valid config");
+    let targets: HashSet<String> = flow
+        .sample_passwords(2_000, &mut rng)
+        .into_iter()
+        .filter(|p| !p.is_empty())
+        .collect();
+    let run = |shards: usize| {
+        Attack::new(&targets)
+            .budget(8_192)
+            .checkpoints(vec![2_048])
+            .strategy(GuessingStrategy::DynamicWithSmoothing {
+                params: DynamicParams::new(0, 0.1, 8),
+                smoothing: GaussianSmoothing::default(),
+            })
+            .seed(5)
+            .shards(shards)
+            .run(&flow)
+            .unwrap()
+    };
+    let sequential = run(1);
+    assert!(
+        sequential.final_report().matched > 0,
+        "the fixture must match to exercise dynamic feedback"
+    );
+    assert_eq!(run(2), sequential, "shards=2 diverged");
+}
+
+#[test]
 fn flow_strategies_all_run_through_the_engine() {
     let fixture = fixture();
     let flow = &fixture.guessers[0];
