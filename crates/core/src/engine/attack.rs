@@ -193,12 +193,11 @@ impl<'a> Attack<'a> {
 
     /// Sets how many cores the attack may use.
     ///
-    /// Waves of at least `shards` chunks run whole chunks in parallel. A
-    /// latent wave with fewer chunks than shards — every wave of a dynamic
-    /// attack at the default `sync_every(1)` — runs its chunks one after
-    /// another and splits each chunk's flow inverse into row blocks over
-    /// the shards instead (blocks of at least 64 rows, so small chunks stay
-    /// on one thread).
+    /// A wave of several chunks runs whole chunks in parallel. A latent
+    /// wave of one chunk — every wave of a dynamic attack at the default
+    /// `sync_every(1)` — splits that chunk's flow inverse into row blocks
+    /// over the shards instead (blocks of at least 64 rows, so small chunks
+    /// stay on one thread).
     ///
     /// Sharding is a *throughput* knob: every chunk of work draws from its
     /// own deterministic RNG stream keyed by the chunk index, and the
@@ -217,14 +216,15 @@ impl<'a> Attack<'a> {
     ///
     /// Dynamic Sampling conditions the prior on the matches found so far,
     /// so each chunk's prior draw, decode and smoothing wait for the
-    /// previous chunk's matches; the shards still share the work by
-    /// splitting each chunk's inverse by rows (see [`Attack::shards`]).
-    /// Raising `sync_every` lets up to that many whole chunks run in
-    /// parallel against a snapshot of the matched set, which also spreads
-    /// those serial stages over the shards at the cost of staler feedback.
-    /// The value changes the trajectory (like changing the batch size
-    /// does) but, for a fixed value, results remain shard-count-invariant.
-    /// Static strategies ignore this and parallelize freely.
+    /// previous chunk's matches; at the default cadence the shards still
+    /// share the work by splitting each chunk's inverse by rows (see
+    /// [`Attack::shards`]). Raising `sync_every` lets up to that many whole
+    /// chunks run in parallel against a snapshot of the matched set, which
+    /// also spreads those serial stages over the shards at the cost of
+    /// staler feedback. The value changes the trajectory (like changing the
+    /// batch size does) but, for a fixed value, results remain
+    /// shard-count-invariant. Static strategies ignore this and parallelize
+    /// freely.
     #[must_use]
     pub fn sync_every(mut self, chunks: usize) -> Self {
         self.sync_every = chunks.max(1);
@@ -416,63 +416,43 @@ fn split_blocks(rows: usize, shards: usize) -> usize {
     (rows / MIN_SPLIT_ROWS).clamp(1, shards.max(1))
 }
 
-/// The attack's row-split inverse: a persistent pool of `shards` threads
-/// and one context per block (its own latent session and z/x buffers),
-/// created the first time a wave leaves shards idle and kept for the rest
-/// of the attack.
-struct RowSplit<'g> {
-    pool: ThreadPool,
-    slots: Vec<Mutex<WorkerCtx<'g>>>,
+/// A latent session that splits each inverse into contiguous row blocks,
+/// one per worker context in `blocks`, and runs them on `pool`: each block
+/// copies its rows of `z` into its context and inverts them through that
+/// context's own session, and the blocks are gathered into `out` in row
+/// order. The inverse is row-independent, so the result is bit-identical
+/// to one unsplit `latents_to_features_into`, whatever the block count.
+struct RowSplit<'s, 'g> {
+    lg: &'g dyn LatentGuesser,
+    pool: &'s ThreadPool,
+    blocks: &'s [Mutex<WorkerCtx<'g>>],
 }
 
-impl<'g> RowSplit<'g> {
-    fn new(shards: usize) -> Self {
-        RowSplit {
-            pool: ThreadPool::new(shards),
-            slots: (0..shards).map(|_| Mutex::new(WorkerCtx::new())).collect(),
-        }
-    }
-
-    /// How many blocks a `rows`-row inverse splits into here.
-    fn blocks_for(&self, rows: usize) -> usize {
-        split_blocks(rows, self.slots.len())
-    }
-
-    /// Inverts `z` into `x` as `blocks` contiguous row blocks (at most one
-    /// per slot), each through its slot's session on the pool, then gathers
-    /// the blocks into `x` in row order. The inverse is row-independent, so
-    /// the result is bit-identical to one `latents_to_features_into` over
-    /// all of `z`, whatever the block count.
-    fn inverse_into(&self, lg: &'g dyn LatentGuesser, z: &Tensor, x: &mut Tensor, blocks: usize) {
-        let rows = z.rows();
-        let blocks = blocks.clamp(1, self.slots.len());
+impl LatentSession for RowSplit<'_, '_> {
+    fn latents_to_features_into(&mut self, z: &Tensor, out: &mut Tensor) {
+        let (rows, dim) = (z.rows(), z.cols());
+        let blocks = self.blocks.len();
         let bounds = |b: usize| (b * rows / blocks, (b + 1) * rows / blocks);
         self.pool.run(blocks, &|b| {
             let (start, end) = bounds(b);
-            let mut slot = self.slots[b].lock().expect("split slot poisoned");
-            let ctx = &mut *slot;
-            ctx.z.resize(end - start, z.cols());
+            let mut ctx = self.blocks[b].lock().expect("worker context poisoned");
+            let ctx = &mut *ctx;
+            ctx.z.resize(end - start, dim);
             ctx.z
                 .as_mut_slice()
-                .copy_from_slice(&z.as_slice()[start * z.cols()..end * z.cols()]);
-            latent_session(&mut ctx.latent, lg).latents_to_features_into(&ctx.z, &mut ctx.x);
+                .copy_from_slice(&z.as_slice()[start * dim..end * dim]);
+            latent_session(&mut ctx.latent, self.lg).latents_to_features_into(&ctx.z, &mut ctx.x);
         });
-        let cols = self.slots[0].lock().expect("split slot poisoned").x.cols();
-        x.resize(rows, cols);
-        for (b, slot) in self.slots[..blocks].iter().enumerate() {
+        for (b, ctx) in self.blocks.iter().enumerate() {
+            let ctx = ctx.lock().expect("worker context poisoned");
+            let cols = ctx.x.cols();
+            if b == 0 {
+                out.resize(rows, cols);
+            }
             let (start, end) = bounds(b);
-            let slot = slot.lock().expect("split slot poisoned");
-            x.as_mut_slice()[start * cols..end * cols].copy_from_slice(slot.x.as_slice());
+            out.as_mut_slice()[start * cols..end * cols].copy_from_slice(ctx.x.as_slice());
         }
     }
-}
-
-/// How a latent chunk maps its prior draw to data space.
-enum Inversion<'s, 'g> {
-    /// Inline, through the worker's own session.
-    Session(&'s mut (dyn LatentSession + 'g)),
-    /// Split by rows over the attack's pool.
-    Split(&'s RowSplit<'g>),
 }
 
 /// The resolved execution plan behind [`Attack::run`]: normalized
@@ -613,9 +593,14 @@ impl AttackEngine {
 
         // One context per worker, kept warm across epochs. Sessions are
         // started lazily inside whichever thread ends up owning the context.
-        let mut worker_ctxs: Vec<WorkerCtx<'_>> =
-            (0..self.shards.max(1)).map(|_| WorkerCtx::new()).collect();
-        let mut row_split: Option<RowSplit<'_>> = None;
+        let worker_ctxs: Vec<Mutex<WorkerCtx<'_>>> = (0..self.shards.max(1))
+            .map(|_| Mutex::new(WorkerCtx::new()))
+            .collect();
+        // A split wave's pool (created on the first such wave, kept for the
+        // attack) and the chunk's own z/x: its row blocks run on the worker
+        // contexts.
+        let mut split_pool: Option<ThreadPool> = None;
+        let mut split_ctx = WorkerCtx::new();
 
         let mut dynamic_params = dynamic;
         while chunks_done < total {
@@ -635,31 +620,35 @@ impl AttackEngine {
                 (None, _) => None,
             };
 
-            // A latent wave with fewer chunks than its chunks have row
-            // blocks (with per-batch feedback, every wave: one chunk) runs
-            // its chunks one after another and splits each chunk's inverse
-            // by rows over the shards instead of leaving shards idle.
-            let widest = epoch.iter().map(|c| split_blocks(c.len, self.shards)).max();
-            let split = match latent {
-                Some(_) if widest.unwrap_or(1) > epoch.len() => {
-                    Some(&*row_split.get_or_insert_with(|| RowSplit::new(self.shards)))
-                }
-                _ => None,
+            // A latent wave of one chunk (with per-batch feedback, every
+            // wave) would leave all shards but one idle, so that chunk's
+            // inverse is split by rows over the shards instead.
+            let blocks = match (latent, epoch) {
+                (Some(_), [chunk]) => split_blocks(chunk.len, self.shards),
+                _ => 1,
             };
+            let split = (blocks > 1)
+                .then(|| &*split_pool.get_or_insert_with(|| ThreadPool::new(self.shards)));
 
             let produce = pin_produce(|chunk: &Chunk, ctx| -> ChunkOutput {
                 let mut rng = nnrng::derived(attack.seed, chunk.index);
                 match (latent, prior.as_ref()) {
                     (Some(lg), Some(prior)) => {
-                        let inversion = match split {
-                            Some(split) if split.blocks_for(chunk.len) > 1 => {
-                                Inversion::Split(split)
+                        let mut row_split;
+                        let session: &mut dyn LatentSession = match split {
+                            Some(pool) => {
+                                row_split = RowSplit {
+                                    lg,
+                                    pool,
+                                    blocks: &worker_ctxs[..blocks],
+                                };
+                                &mut row_split
                             }
-                            _ => Inversion::Session(latent_session(&mut ctx.latent, lg)),
+                            None => latent_session(&mut ctx.latent, lg),
                         };
                         generate_latent_chunk(
                             lg,
-                            inversion,
+                            session,
                             &mut ctx.z,
                             &mut ctx.x,
                             chunk,
@@ -685,16 +674,14 @@ impl AttackEngine {
                 }
             });
 
-            let workers = if split.is_some() {
-                1
+            let workers = self.shards.min(epoch.len()).max(1);
+            let outputs: Vec<ChunkOutput> = if split.is_some() {
+                vec![produce(&epoch[0], &mut split_ctx)]
+            } else if workers == 1 {
+                let mut ctx = worker_ctxs[0].lock().expect("worker context poisoned");
+                epoch.iter().map(|chunk| produce(chunk, &mut ctx)).collect()
             } else {
-                self.shards.min(epoch.len()).max(1)
-            };
-            let outputs: Vec<ChunkOutput> = if workers == 1 {
-                let ctx = &mut worker_ctxs[0];
-                epoch.iter().map(|chunk| produce(chunk, ctx)).collect()
-            } else {
-                run_parallel(epoch, &mut worker_ctxs[..workers], &produce)
+                run_parallel(epoch, &worker_ctxs[..workers], &produce)
             };
 
             for output in outputs {
@@ -955,24 +942,25 @@ where
 /// the schedule irrelevant to the results.
 fn run_parallel<'g>(
     epoch: &[Chunk],
-    ctxs: &mut [WorkerCtx<'g>],
+    ctxs: &[Mutex<WorkerCtx<'g>>],
     produce: &(dyn Fn(&Chunk, &mut WorkerCtx<'g>) -> ChunkOutput + Sync),
 ) -> Vec<ChunkOutput> {
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<ChunkOutput>> = (0..epoch.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = ctxs
-            .iter_mut()
+            .iter()
             .map(|ctx| {
                 let next = &next;
                 scope.spawn(move || {
+                    let mut ctx = ctx.lock().expect("worker context poisoned");
                     let mut produced = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= epoch.len() {
                             break;
                         }
-                        produced.push((i, produce(&epoch[i], ctx)));
+                        produced.push((i, produce(&epoch[i], &mut ctx)));
                     }
                     produced
                 })
@@ -991,13 +979,13 @@ fn run_parallel<'g>(
 }
 
 /// Generates one chunk through the latent path: sample the epoch prior into
-/// the worker's latent buffer, invert it into the feature buffer (through
-/// the worker's session or split by rows over the pool), decode, and
-/// (optionally) smooth collisions away in data space.
+/// the worker's latent buffer, invert it through the session (the worker's
+/// own, or a [`RowSplit`] over the shards) into the feature buffer, decode,
+/// and (optionally) smooth collisions away in data space.
 #[allow(clippy::too_many_arguments)]
-fn generate_latent_chunk<'g>(
-    lg: &'g dyn LatentGuesser,
-    inversion: Inversion<'_, 'g>,
+fn generate_latent_chunk(
+    lg: &dyn LatentGuesser,
+    session: &mut dyn LatentSession,
     z: &mut Tensor,
     x: &mut Tensor,
     chunk: &Chunk,
@@ -1009,10 +997,7 @@ fn generate_latent_chunk<'g>(
     rng: &mut dyn RngCore,
 ) -> ChunkOutput {
     prior.sample_into(chunk.len, rng, z);
-    match inversion {
-        Inversion::Session(session) => session.latents_to_features_into(z, x),
-        Inversion::Split(split) => split.inverse_into(lg, z, x, split.blocks_for(chunk.len)),
-    }
+    session.latents_to_features_into(z, x);
 
     // The chunk-local dedup view is only consulted by smoothing; skip the
     // per-guess clone + hash entirely for strategies without it.
@@ -1298,10 +1283,17 @@ mod tests {
             &mut expected,
         );
 
-        let split = RowSplit::new(7);
+        let pool = ThreadPool::new(7);
+        let ctxs: Vec<Mutex<WorkerCtx<'_>>> =
+            (0..7).map(|_| Mutex::new(WorkerCtx::new())).collect();
         for blocks in [1, 2, 3, 7] {
             let mut x = Tensor::default();
-            split.inverse_into(&flow, &z, &mut x, blocks);
+            RowSplit {
+                lg: &flow,
+                pool: &pool,
+                blocks: &ctxs[..blocks],
+            }
+            .latents_to_features_into(&z, &mut x);
             assert_eq!(x.shape(), expected.shape(), "blocks={blocks}");
             let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&x), bits(&expected), "blocks={blocks} is not 0 ULP");
